@@ -13,30 +13,6 @@ use gisolap_obs::MetricsRegistry;
 use crate::engine::QueryEngine;
 use crate::stats::StatsSnapshot;
 
-/// Help text for a counter field of [`StatsSnapshot::fields`].
-fn field_help(name: &str) -> &'static str {
-    match name {
-        "records_scanned" => "MOFT records examined by time filtering.",
-        "bbox_rejections" => "Geometry elements discarded on bounding box alone.",
-        "rtree_probes" => "R-tree searches issued.",
-        "overlay_hits" => "Layer-pair lookups answered from the precomputed overlay.",
-        "overlay_misses" => "Layer-pair requests computed per call (no precomputation).",
-        "legs_cut" => "Trajectory sub-legs produced by time-window cutting.",
-        "queries" => "Region evaluations started.",
-        "records_ingested" => "Stream records accepted into ingest buffers.",
-        "records_late_dropped" => "Stream records dead-lettered as later than the watermark.",
-        "segments_sealed" => "Stream segments sealed.",
-        "partials_merged" => "Partial-aggregate entries merged into the delta cube.",
-        "tail_records_scanned" => "Live tail records scanned by incremental rollups.",
-        "index_interval_probes" => "Interval-tree window searches over object time extents.",
-        "index_bvh_probes" => "BVH searches over object bounding boxes.",
-        "index_zones_scanned" => "Zone-map blocks scanned after index pruning.",
-        "index_zones_pruned" => "Zone-map blocks skipped wholesale by index pruning.",
-        "index_records_pruned" => "Records excluded by index pruning before exact tests.",
-        _ => "Engine counter.",
-    }
-}
-
 /// Publishes one engine's counters into `registry`, labelled
 /// `engine="<name>"`:
 ///
@@ -66,7 +42,8 @@ pub fn fill_engine_metrics<E: QueryEngine + ?Sized>(registry: &mut MetricsRegist
             // Metric names must be 'static-ish strings; build the
             // conventional `_total` name from the field name.
             let metric = format!("gisolap_{field}_total");
-            registry.set_counter_u64(&metric, field_help(field), &[("engine", name)], value);
+            let help = StatsSnapshot::field_help(field).unwrap_or_default();
+            registry.set_counter_u64(&metric, help, &[("engine", name)], value);
         }
     }
     if let Some(obs) = engine.obs() {

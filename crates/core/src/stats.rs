@@ -9,72 +9,67 @@
 //! never used for synchronization — and atomics keep them sound under
 //! the parallel evaluation paths.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use gisolap_obs::Span;
 
-/// Monotone evaluation counters owned by an engine. Cheap to bump from
-/// parallel workers; read via [`EngineStats::snapshot`].
-#[derive(Debug, Default)]
-pub struct EngineStats {
-    records_scanned: AtomicU64,
-    bbox_rejections: AtomicU64,
-    rtree_probes: AtomicU64,
-    overlay_hits: AtomicU64,
-    overlay_misses: AtomicU64,
-    legs_cut: AtomicU64,
-    queries: AtomicU64,
-    time_filter_ns: AtomicU64,
-    filter_resolve_ns: AtomicU64,
-    spatial_match_ns: AtomicU64,
-    records_ingested: AtomicU64,
-    records_late_dropped: AtomicU64,
-    segments_sealed: AtomicU64,
-    partials_merged: AtomicU64,
-    tail_records_scanned: AtomicU64,
-    index_interval_probes: AtomicU64,
-    index_bvh_probes: AtomicU64,
-    index_zones_scanned: AtomicU64,
-    index_zones_pruned: AtomicU64,
-    index_records_pruned: AtomicU64,
+gisolap_obs::counters! {
+    /// A point-in-time copy of an engine's [`EngineStats`]. Each event
+    /// counter is published as `gisolap_<field>_total` with its doc
+    /// comment as help; the `*_ns` timings go to
+    /// `gisolap_phase_seconds_total` (see [`crate::metrics`]).
+    pub struct StatsSnapshot {
+        /// MOFT records examined by time filtering.
+        records_scanned => add_records_scanned,
+        /// Geometry elements discarded on bounding box alone.
+        bbox_rejections => add_bbox_rejections,
+        /// R-tree searches issued.
+        rtree_probes => add_rtree_probes,
+        /// Layer-pair lookups answered from the precomputed overlay.
+        overlay_hits => add_overlay_hits,
+        /// Layer-pair requests computed per call (no precomputation).
+        overlay_misses => add_overlay_misses,
+        /// Trajectory sub-legs produced by time-window cutting.
+        legs_cut => add_legs_cut,
+        /// Region evaluations started.
+        queries,
+        /// Wall time (ns) filtering the MOFT by time predicates.
+        time_filter_ns,
+        /// Wall time (ns) resolving geometric sub-queries.
+        filter_resolve_ns,
+        /// Wall time (ns) matching records/trajectories spatially.
+        spatial_match_ns,
+        /// Stream records accepted into ingest buffers.
+        records_ingested,
+        /// Stream records dead-lettered as later than the watermark.
+        records_late_dropped,
+        /// Stream segments sealed.
+        segments_sealed,
+        /// Partial-aggregate entries merged into the delta cube.
+        partials_merged,
+        /// Live tail records scanned by incremental rollups.
+        tail_records_scanned,
+        /// Interval-tree window searches over object time extents.
+        index_interval_probes => add_index_interval_probes,
+        /// BVH searches over object bounding boxes.
+        index_bvh_probes => add_index_bvh_probes,
+        /// Zone-map blocks scanned after index pruning.
+        index_zones_scanned => add_index_zones_scanned,
+        /// Zone-map blocks skipped wholesale by index pruning.
+        index_zones_pruned => add_index_zones_pruned,
+        /// Records excluded by index pruning before exact tests.
+        index_records_pruned => add_index_records_pruned,
+    }
+    /// Monotone evaluation counters owned by an engine. Cheap to bump from
+    /// parallel workers; read via [`EngineStats::snapshot`].
+    mirror pub struct EngineStats;
 }
 
 impl EngineStats {
     /// A fresh, all-zero counter set.
     pub fn new() -> EngineStats {
         EngineStats::default()
-    }
-
-    /// MOFT records examined by time filtering.
-    pub fn add_records_scanned(&self, n: u64) {
-        self.records_scanned.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Geometry elements discarded on bounding box alone.
-    pub fn add_bbox_rejections(&self, n: u64) {
-        self.bbox_rejections.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// R-tree searches issued.
-    pub fn add_rtree_probes(&self, n: u64) {
-        self.rtree_probes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Layer-pair lookups answered from the precomputed overlay.
-    pub fn add_overlay_hits(&self, n: u64) {
-        self.overlay_hits.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Layer-pair requests the overlay could not answer (computed per
-    /// call, or missing from a selective precomputation).
-    pub fn add_overlay_misses(&self, n: u64) {
-        self.overlay_misses.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Trajectory sub-legs produced by time-window cutting.
-    pub fn add_legs_cut(&self, n: u64) {
-        self.legs_cut.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Region evaluations started.
@@ -100,31 +95,6 @@ impl EngineStats {
             .fetch_add(elapsed_ns(since), Ordering::Relaxed);
     }
 
-    /// Interval-tree window searches issued over object time extents.
-    pub fn add_index_interval_probes(&self, n: u64) {
-        self.index_interval_probes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// BVH searches issued over object bounding boxes.
-    pub fn add_index_bvh_probes(&self, n: u64) {
-        self.index_bvh_probes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Zone-map blocks whose records were scanned after the prune.
-    pub fn add_index_zones_scanned(&self, n: u64) {
-        self.index_zones_scanned.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Zone-map blocks skipped wholesale by the prune.
-    pub fn add_index_zones_pruned(&self, n: u64) {
-        self.index_zones_pruned.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records excluded by index pruning before any exact test ran.
-    pub fn add_index_records_pruned(&self, n: u64) {
-        self.index_records_pruned.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Seeds the ingest counters from a streaming pipeline's tallies —
     /// used by the `from_snapshot` engine constructors so stream-fed
     /// engines surface ingestion work next to their query work.
@@ -144,193 +114,19 @@ impl EngineStats {
         self.tail_records_scanned
             .store(tail_scanned, Ordering::Relaxed);
     }
-
-    /// A consistent point-in-time copy of every counter.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            records_scanned: self.records_scanned.load(Ordering::Relaxed),
-            bbox_rejections: self.bbox_rejections.load(Ordering::Relaxed),
-            rtree_probes: self.rtree_probes.load(Ordering::Relaxed),
-            overlay_hits: self.overlay_hits.load(Ordering::Relaxed),
-            overlay_misses: self.overlay_misses.load(Ordering::Relaxed),
-            legs_cut: self.legs_cut.load(Ordering::Relaxed),
-            queries: self.queries.load(Ordering::Relaxed),
-            time_filter_ns: self.time_filter_ns.load(Ordering::Relaxed),
-            filter_resolve_ns: self.filter_resolve_ns.load(Ordering::Relaxed),
-            spatial_match_ns: self.spatial_match_ns.load(Ordering::Relaxed),
-            records_ingested: self.records_ingested.load(Ordering::Relaxed),
-            records_late_dropped: self.records_late_dropped.load(Ordering::Relaxed),
-            segments_sealed: self.segments_sealed.load(Ordering::Relaxed),
-            partials_merged: self.partials_merged.load(Ordering::Relaxed),
-            tail_records_scanned: self.tail_records_scanned.load(Ordering::Relaxed),
-            index_interval_probes: self.index_interval_probes.load(Ordering::Relaxed),
-            index_bvh_probes: self.index_bvh_probes.load(Ordering::Relaxed),
-            index_zones_scanned: self.index_zones_scanned.load(Ordering::Relaxed),
-            index_zones_pruned: self.index_zones_pruned.load(Ordering::Relaxed),
-            index_records_pruned: self.index_records_pruned.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes every counter (e.g. between benchmark phases).
-    pub fn reset(&self) {
-        self.records_scanned.store(0, Ordering::Relaxed);
-        self.bbox_rejections.store(0, Ordering::Relaxed);
-        self.rtree_probes.store(0, Ordering::Relaxed);
-        self.overlay_hits.store(0, Ordering::Relaxed);
-        self.overlay_misses.store(0, Ordering::Relaxed);
-        self.legs_cut.store(0, Ordering::Relaxed);
-        self.queries.store(0, Ordering::Relaxed);
-        self.time_filter_ns.store(0, Ordering::Relaxed);
-        self.filter_resolve_ns.store(0, Ordering::Relaxed);
-        self.spatial_match_ns.store(0, Ordering::Relaxed);
-        self.records_ingested.store(0, Ordering::Relaxed);
-        self.records_late_dropped.store(0, Ordering::Relaxed);
-        self.segments_sealed.store(0, Ordering::Relaxed);
-        self.partials_merged.store(0, Ordering::Relaxed);
-        self.tail_records_scanned.store(0, Ordering::Relaxed);
-        self.index_interval_probes.store(0, Ordering::Relaxed);
-        self.index_bvh_probes.store(0, Ordering::Relaxed);
-        self.index_zones_scanned.store(0, Ordering::Relaxed);
-        self.index_zones_pruned.store(0, Ordering::Relaxed);
-        self.index_records_pruned.store(0, Ordering::Relaxed);
-    }
 }
 
 fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// A point-in-time copy of an engine's [`EngineStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// MOFT records examined by time filtering.
-    pub records_scanned: u64,
-    /// Geometry elements discarded on bounding box alone.
-    pub bbox_rejections: u64,
-    /// R-tree searches issued.
-    pub rtree_probes: u64,
-    /// Layer-pair lookups answered from the precomputed overlay.
-    pub overlay_hits: u64,
-    /// Layer-pair requests computed per call (no precomputation).
-    pub overlay_misses: u64,
-    /// Trajectory sub-legs produced by time-window cutting.
-    pub legs_cut: u64,
-    /// Region evaluations started.
-    pub queries: u64,
-    /// Wall time (ns) filtering the MOFT by time predicates.
-    pub time_filter_ns: u64,
-    /// Wall time (ns) resolving geometric sub-queries.
-    pub filter_resolve_ns: u64,
-    /// Wall time (ns) matching records/trajectories spatially.
-    pub spatial_match_ns: u64,
-    /// Stream records accepted into ingest buffers.
-    pub records_ingested: u64,
-    /// Stream records dead-lettered as later than the watermark.
-    pub records_late_dropped: u64,
-    /// Stream segments sealed.
-    pub segments_sealed: u64,
-    /// Partial-aggregate entries merged into the delta cube.
-    pub partials_merged: u64,
-    /// Live tail records scanned by incremental rollups.
-    pub tail_records_scanned: u64,
-    /// Interval-tree window searches issued over object time extents.
-    pub index_interval_probes: u64,
-    /// BVH searches issued over object bounding boxes.
-    pub index_bvh_probes: u64,
-    /// Zone-map blocks whose records were scanned after the prune.
-    pub index_zones_scanned: u64,
-    /// Zone-map blocks skipped wholesale by the prune.
-    pub index_zones_pruned: u64,
-    /// Records excluded by index pruning before any exact test ran.
-    pub index_records_pruned: u64,
-}
-
 impl StatsSnapshot {
-    /// Every counter as a `(name, value)` pair, in declaration order.
-    /// This is the single source of truth the metrics exporter, the span
-    /// tracer and the `OBSERVABILITY.md` coverage test all iterate, so a
-    /// counter added here is automatically exported and documented-or-
-    /// caught.
-    pub fn fields(&self) -> [(&'static str, u64); 20] {
-        [
-            ("records_scanned", self.records_scanned),
-            ("bbox_rejections", self.bbox_rejections),
-            ("rtree_probes", self.rtree_probes),
-            ("overlay_hits", self.overlay_hits),
-            ("overlay_misses", self.overlay_misses),
-            ("legs_cut", self.legs_cut),
-            ("queries", self.queries),
-            ("time_filter_ns", self.time_filter_ns),
-            ("filter_resolve_ns", self.filter_resolve_ns),
-            ("spatial_match_ns", self.spatial_match_ns),
-            ("records_ingested", self.records_ingested),
-            ("records_late_dropped", self.records_late_dropped),
-            ("segments_sealed", self.segments_sealed),
-            ("partials_merged", self.partials_merged),
-            ("tail_records_scanned", self.tail_records_scanned),
-            ("index_interval_probes", self.index_interval_probes),
-            ("index_bvh_probes", self.index_bvh_probes),
-            ("index_zones_scanned", self.index_zones_scanned),
-            ("index_zones_pruned", self.index_zones_pruned),
-            ("index_records_pruned", self.index_records_pruned),
-        ]
-    }
-
     /// Whether a [`StatsSnapshot::fields`] name is a wall-time tally
     /// (nanoseconds) rather than an event count. Timing fields are the
     /// ones excluded from "identical counts" comparisons between
     /// parallel and sequential runs.
     pub fn is_timing_field(name: &str) -> bool {
         name.ends_with("_ns")
-    }
-
-    /// The field-wise difference `self − earlier` (saturating, so a
-    /// reset between snapshots yields zeros instead of wrapping). This
-    /// is "the counters this query cost" when `earlier` was taken just
-    /// before it ran.
-    pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            records_scanned: self.records_scanned.saturating_sub(earlier.records_scanned),
-            bbox_rejections: self.bbox_rejections.saturating_sub(earlier.bbox_rejections),
-            rtree_probes: self.rtree_probes.saturating_sub(earlier.rtree_probes),
-            overlay_hits: self.overlay_hits.saturating_sub(earlier.overlay_hits),
-            overlay_misses: self.overlay_misses.saturating_sub(earlier.overlay_misses),
-            legs_cut: self.legs_cut.saturating_sub(earlier.legs_cut),
-            queries: self.queries.saturating_sub(earlier.queries),
-            time_filter_ns: self.time_filter_ns.saturating_sub(earlier.time_filter_ns),
-            filter_resolve_ns: self
-                .filter_resolve_ns
-                .saturating_sub(earlier.filter_resolve_ns),
-            spatial_match_ns: self
-                .spatial_match_ns
-                .saturating_sub(earlier.spatial_match_ns),
-            records_ingested: self
-                .records_ingested
-                .saturating_sub(earlier.records_ingested),
-            records_late_dropped: self
-                .records_late_dropped
-                .saturating_sub(earlier.records_late_dropped),
-            segments_sealed: self.segments_sealed.saturating_sub(earlier.segments_sealed),
-            partials_merged: self.partials_merged.saturating_sub(earlier.partials_merged),
-            tail_records_scanned: self
-                .tail_records_scanned
-                .saturating_sub(earlier.tail_records_scanned),
-            index_interval_probes: self
-                .index_interval_probes
-                .saturating_sub(earlier.index_interval_probes),
-            index_bvh_probes: self
-                .index_bvh_probes
-                .saturating_sub(earlier.index_bvh_probes),
-            index_zones_scanned: self
-                .index_zones_scanned
-                .saturating_sub(earlier.index_zones_scanned),
-            index_zones_pruned: self
-                .index_zones_pruned
-                .saturating_sub(earlier.index_zones_pruned),
-            index_records_pruned: self
-                .index_records_pruned
-                .saturating_sub(earlier.index_records_pruned),
-        }
     }
 
     /// A copy with every timing field zeroed — what the parallel-vs-

@@ -93,7 +93,7 @@ pub fn recover_snapshot(
 pub(crate) fn seed_ingest_stats(stats: &EngineStats, s: &IngestStats) {
     stats.set_ingest_counters(
         s.records_ingested,
-        s.late_dropped,
+        s.records_late_dropped,
         s.segments_sealed,
         s.partials_merged,
         s.tail_records_scanned,

@@ -24,6 +24,9 @@
 //! * [`QueryObs`] — the bundle of the above that a query engine owns:
 //!   tracer + eval-latency histogram + slow-query log + the most recent
 //!   span tree.
+//! * [`counters!`] — declares a counter set (snapshot struct, field
+//!   list, delta, Prometheus export and atomic mirror) from one
+//!   documented field list.
 //! * [`config`] — the registry of every `GISOLAP_*` environment flag the
 //!   workspace reads, each documented and coverage-tested against the
 //!   repository docs.
@@ -38,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod counters;
 pub mod metrics;
 pub mod query_obs;
 pub mod slow;

@@ -74,117 +74,44 @@ impl ServeConfig {
     }
 }
 
-/// A point-in-time copy of a server's counters. Field order is the
-/// single source for [`ServeStats::fields`], the
-/// `gisolap_serve_<field>_total` metric names and the
-/// `OBSERVABILITY.md` table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Connections accepted and admitted.
-    pub connections_accepted: u64,
-    /// Connections turned away at the connection cap.
-    pub connections_rejected: u64,
-    /// Requests decoded (any reply).
-    pub requests: u64,
-    /// Rollup evaluations served.
-    pub rollup_requests: u64,
-    /// Replication exchanges served.
-    pub repl_requests: u64,
-    /// Pings answered.
-    pub ping_requests: u64,
-    /// Requests answered `Busy` at the global in-flight cap.
-    pub busy_rejections: u64,
-    /// Requests answered `Busy` at the per-tenant quota.
-    pub quota_rejections: u64,
-    /// Shard-leaf partial-cell extractions served.
-    pub partials_requests: u64,
-    /// Server-side scatter-gather rollups served.
-    pub sharded_requests: u64,
-    /// Standing-query registrations served.
-    pub subscribe_requests: u64,
-    /// Standing-query catch-up reads served.
-    pub notifications_requests: u64,
-    /// Requests rejected as structurally corrupt or inadmissible.
-    pub bad_requests: u64,
-    /// Request bytes read off sockets.
-    pub bytes_in: u64,
-    /// Reply bytes written to sockets.
-    pub bytes_out: u64,
-}
-
-impl ServeStats {
-    /// Every server counter as a `(name, value)` pair, in declaration
-    /// order.
-    pub fn fields(&self) -> [(&'static str, u64); 15] {
-        [
-            ("connections_accepted", self.connections_accepted),
-            ("connections_rejected", self.connections_rejected),
-            ("requests", self.requests),
-            ("rollup_requests", self.rollup_requests),
-            ("repl_requests", self.repl_requests),
-            ("ping_requests", self.ping_requests),
-            ("partials_requests", self.partials_requests),
-            ("sharded_requests", self.sharded_requests),
-            ("subscribe_requests", self.subscribe_requests),
-            ("notifications_requests", self.notifications_requests),
-            ("busy_rejections", self.busy_rejections),
-            ("quota_rejections", self.quota_rejections),
-            ("bad_requests", self.bad_requests),
-            ("bytes_in", self.bytes_in),
-            ("bytes_out", self.bytes_out),
-        ]
-    }
-
-    /// Publishes the server counters into `registry` as
+gisolap_obs::counters! {
+    /// A point-in-time copy of a server's counters, published as
     /// `gisolap_serve_<field>_total`.
-    pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
-        for (field, value) in self.fields() {
-            let name = format!("gisolap_serve_{field}_total");
-            registry.set_counter_u64(&name, "Query/replication server counter.", &[], value);
-        }
+    pub struct ServeStats {
+        /// Connections accepted and admitted.
+        connections_accepted => add_connections_accepted,
+        /// Connections turned away at the connection cap.
+        connections_rejected => add_connections_rejected,
+        /// Requests decoded (any reply).
+        requests => add_requests,
+        /// Rollup evaluations served.
+        rollup_requests => add_rollup_requests,
+        /// Replication exchanges served.
+        repl_requests => add_repl_requests,
+        /// Pings answered.
+        ping_requests => add_ping_requests,
+        /// Shard-leaf partial-cell extractions served.
+        partials_requests => add_partials_requests,
+        /// Server-side scatter-gather rollups served.
+        sharded_requests => add_sharded_requests,
+        /// Standing-query registrations served.
+        subscribe_requests => add_subscribe_requests,
+        /// Standing-query catch-up reads served.
+        notifications_requests => add_notifications_requests,
+        /// Requests answered `Busy` at the global in-flight cap.
+        busy_rejections => add_busy_rejections,
+        /// Requests answered `Busy` at the per-tenant quota.
+        quota_rejections => add_quota_rejections,
+        /// Requests rejected as structurally corrupt or inadmissible.
+        bad_requests => add_bad_requests,
+        /// Request bytes read off sockets.
+        bytes_in => add_bytes_in,
+        /// Reply bytes written to sockets.
+        bytes_out => add_bytes_out,
     }
-}
-
-/// Shared-atomic mirror of [`ServeStats`], bumped by handler threads.
-#[derive(Debug, Default)]
-struct Counters {
-    connections_accepted: AtomicU64,
-    connections_rejected: AtomicU64,
-    requests: AtomicU64,
-    rollup_requests: AtomicU64,
-    repl_requests: AtomicU64,
-    ping_requests: AtomicU64,
-    partials_requests: AtomicU64,
-    sharded_requests: AtomicU64,
-    subscribe_requests: AtomicU64,
-    notifications_requests: AtomicU64,
-    busy_rejections: AtomicU64,
-    quota_rejections: AtomicU64,
-    bad_requests: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-}
-
-impl Counters {
-    fn snapshot(&self) -> ServeStats {
-        ServeStats {
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_rejected: self.connections_rejected.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            rollup_requests: self.rollup_requests.load(Ordering::Relaxed),
-            repl_requests: self.repl_requests.load(Ordering::Relaxed),
-            ping_requests: self.ping_requests.load(Ordering::Relaxed),
-            partials_requests: self.partials_requests.load(Ordering::Relaxed),
-            sharded_requests: self.sharded_requests.load(Ordering::Relaxed),
-            subscribe_requests: self.subscribe_requests.load(Ordering::Relaxed),
-            notifications_requests: self.notifications_requests.load(Ordering::Relaxed),
-            busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
-            quota_rejections: self.quota_rejections.load(Ordering::Relaxed),
-            bad_requests: self.bad_requests.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-        }
-    }
+    metrics("gisolap_serve_", "Query/replication server counter.");
+    /// Shared-atomic mirror of [`ServeStats`], bumped by handler threads.
+    mirror struct Counters;
 }
 
 /// Admissible tenant names: non-empty, at most 64 bytes, drawn from
@@ -351,18 +278,16 @@ impl Shared {
     fn evaluate(&self, req: &ServeRequest) -> ServeReply {
         match req {
             ServeRequest::Ping { tenant } => {
-                self.counters.ping_requests.fetch_add(1, Ordering::Relaxed);
+                self.counters.add_ping_requests(1);
                 if tenant_admissible(tenant) {
                     ServeReply::Pong
                 } else {
-                    self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+                    self.counters.add_bad_requests(1);
                     ServeReply::Err(format!("inadmissible tenant name {tenant:?}"))
                 }
             }
             ServeRequest::Rollup { tenant, query } => {
-                self.counters
-                    .rollup_requests
-                    .fetch_add(1, Ordering::Relaxed);
+                self.counters.add_rollup_requests(1);
                 match self.leader(tenant) {
                     Ok(leader) => {
                         let leader = leader.lock().expect("leader poisoned");
@@ -372,13 +297,13 @@ impl Shared {
                         }
                     }
                     Err(detail) => {
-                        self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+                        self.counters.add_bad_requests(1);
                         ServeReply::Err(detail)
                     }
                 }
             }
             ServeRequest::Repl { tenant, request } => {
-                self.counters.repl_requests.fetch_add(1, Ordering::Relaxed);
+                self.counters.add_repl_requests(1);
                 match self.leader(tenant) {
                     Ok(leader) => {
                         let mut leader = leader.lock().expect("leader poisoned");
@@ -388,7 +313,7 @@ impl Shared {
                         }
                     }
                     Err(detail) => {
-                        self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+                        self.counters.add_bad_requests(1);
                         ServeReply::Err(detail)
                     }
                 }
@@ -398,9 +323,7 @@ impl Shared {
                 grid,
                 region,
             } => {
-                self.counters
-                    .partials_requests
-                    .fetch_add(1, Ordering::Relaxed);
+                self.counters.add_partials_requests(1);
                 match self.leader_with_grid(tenant, *grid) {
                     Ok(leader) => {
                         let leader = leader.lock().expect("leader poisoned");
@@ -410,7 +333,7 @@ impl Shared {
                         }
                     }
                     Err(detail) => {
-                        self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+                        self.counters.add_bad_requests(1);
                         ServeReply::Err(detail)
                     }
                 }
@@ -420,9 +343,7 @@ impl Shared {
                 query,
                 region,
             } => {
-                self.counters
-                    .sharded_requests
-                    .fetch_add(1, Ordering::Relaxed);
+                self.counters.add_sharded_requests(1);
                 match self.cluster(tenant) {
                     Ok(cluster) => {
                         let cluster = cluster.lock().expect("cluster poisoned");
@@ -441,15 +362,13 @@ impl Shared {
                         }
                     }
                     Err(detail) => {
-                        self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+                        self.counters.add_bad_requests(1);
                         ServeReply::Err(detail)
                     }
                 }
             }
             ServeRequest::Subscribe { tenant, sub } => {
-                self.counters
-                    .subscribe_requests
-                    .fetch_add(1, Ordering::Relaxed);
+                self.counters.add_subscribe_requests(1);
                 match self.leader(tenant) {
                     Ok(leader) => {
                         let evaluator = self.sub_evaluator(tenant);
@@ -462,21 +381,19 @@ impl Shared {
                         match evaluator.register(sub.clone()) {
                             Ok(id) => ServeReply::Subscribed(id),
                             Err(e) => {
-                                self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+                                self.counters.add_bad_requests(1);
                                 ServeReply::Err(format!("subscribe failed: {e}"))
                             }
                         }
                     }
                     Err(detail) => {
-                        self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+                        self.counters.add_bad_requests(1);
                         ServeReply::Err(detail)
                     }
                 }
             }
             ServeRequest::Notifications { tenant, since } => {
-                self.counters
-                    .notifications_requests
-                    .fetch_add(1, Ordering::Relaxed);
+                self.counters.add_notifications_requests(1);
                 match self.leader(tenant) {
                     Ok(leader) => {
                         let evaluator = self.sub_evaluator(tenant);
@@ -487,7 +404,7 @@ impl Shared {
                         ServeReply::Notifications { items, next }
                     }
                     Err(detail) => {
-                        self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+                        self.counters.add_bad_requests(1);
                         ServeReply::Err(detail)
                     }
                 }
@@ -513,16 +430,10 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
             // wire: either way this connection is done.
             Ok(None) | Err(_) => break,
         };
-        shared
-            .counters
-            .bytes_in
-            .fetch_add(payload.len() as u64 + 8, Ordering::Relaxed);
+        shared.counters.add_bytes_in(payload.len() as u64 + 8);
         let reply = handle_payload(shared, &payload);
         let framed = wire::encode_reply(&reply);
-        shared
-            .counters
-            .bytes_out
-            .fetch_add(framed.len() as u64, Ordering::Relaxed);
+        shared.counters.add_bytes_out(framed.len() as u64);
         if wire::write_message(&mut writer, &framed).is_err() {
             break;
         }
@@ -531,11 +442,11 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
 
 /// Decodes, admits (in-flight + quota) and evaluates one request.
 fn handle_payload(shared: &Shared, payload: &[u8]) -> ServeReply {
-    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
+    shared.counters.add_requests(1);
     let req = match wire::decode_request(payload) {
         Ok(req) => req,
         Err(e) => {
-            shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+            shared.counters.add_bad_requests(1);
             return ServeReply::Err(format!("bad request: {e}"));
         }
     };
@@ -544,10 +455,7 @@ fn handle_payload(shared: &Shared, payload: &[u8]) -> ServeReply {
     let inflight = shared.inflight.fetch_add(1, Ordering::AcqRel) + 1;
     if inflight > shared.config.max_inflight {
         shared.inflight.fetch_sub(1, Ordering::AcqRel);
-        shared
-            .counters
-            .busy_rejections
-            .fetch_add(1, Ordering::Relaxed);
+        shared.counters.add_busy_rejections(1);
         return ServeReply::Busy(format!(
             "server at its cap of {} in-flight requests",
             shared.config.max_inflight
@@ -555,10 +463,7 @@ fn handle_payload(shared: &Shared, payload: &[u8]) -> ServeReply {
     }
     let reply = match shared.claim_tenant_slot(req.tenant()) {
         Err(detail) => {
-            shared
-                .counters
-                .quota_rejections
-                .fetch_add(1, Ordering::Relaxed);
+            shared.counters.add_quota_rejections(1);
             ServeReply::Busy(detail)
         }
         Ok(()) => {
@@ -710,10 +615,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         let conns = shared.conns.fetch_add(1, Ordering::AcqRel) + 1;
         if conns > shared.config.max_conns {
             shared.conns.fetch_sub(1, Ordering::AcqRel);
-            shared
-                .counters
-                .connections_rejected
-                .fetch_add(1, Ordering::Relaxed);
+            shared.counters.add_connections_rejected(1);
             // One explicit Busy so the client can tell backpressure
             // from a network failure, then close.
             let framed = wire::encode_reply(&ServeReply::Busy(format!(
@@ -724,10 +626,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             let _ = wire::write_message(&mut stream, &framed);
             continue;
         }
-        shared
-            .counters
-            .connections_accepted
-            .fetch_add(1, Ordering::Relaxed);
+        shared.counters.add_connections_accepted(1);
         let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
             shared

@@ -48,35 +48,16 @@ pub fn write_manifest(vfs: &dyn Vfs, root: &Path, manifest: &ShardManifest) -> R
     vfs.write_atomic(&root.join(SHARDS_MANIFEST), &bytes, true)
 }
 
-/// Counters for ingest routing across the cluster. Field order is the
-/// single source for [`RouteStats::fields`], metrics names and the
-/// `OBSERVABILITY.md` table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouteStats {
-    /// Batches routed through [`ShardedIngest::ingest`].
-    pub routed_batches: u64,
-    /// Records routed to a shard store.
-    pub routed_records: u64,
-}
-
-impl RouteStats {
-    /// Every routing counter as a `(name, value)` pair, in declaration
-    /// order.
-    pub fn fields(&self) -> [(&'static str, u64); 2] {
-        [
-            ("routed_batches", self.routed_batches),
-            ("routed_records", self.routed_records),
-        ]
-    }
-
-    /// Publishes the routing counters into `registry` as
+gisolap_obs::counters! {
+    /// Counters for ingest routing across the cluster, published as
     /// `gisolap_shard_<field>_total`.
-    pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
-        for (field, value) in self.fields() {
-            let name = format!("gisolap_shard_{field}_total");
-            registry.set_counter_u64(&name, "Shard routing counter.", &[], value);
-        }
+    pub struct RouteStats {
+        /// Batches routed through [`ShardedIngest::ingest`].
+        routed_batches,
+        /// Records routed to a shard store.
+        routed_records,
     }
+    metrics("gisolap_shard_", "Shard routing counter.");
 }
 
 /// N durable shard stores behind one ingest front door: every batch is

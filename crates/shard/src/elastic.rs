@@ -107,57 +107,34 @@ impl ElasticConfig {
     }
 }
 
-/// Counters for elasticity work (failover probing and rebalancing).
-/// Field order is the single source for [`ElasticStats::fields`],
-/// metrics names and the `OBSERVABILITY.md` table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ElasticStats {
-    /// Leader health probes sent.
-    pub probes: u64,
-    /// Probes that failed (leader unreachable or fenced).
-    pub probe_failures: u64,
-    /// Leases renewed by a successful probe.
-    pub lease_renewals: u64,
-    /// Failovers completed (a replica promoted under a new epoch).
-    pub failovers: u64,
-    /// Rebalances committed (manifest flipped to the new assignment).
-    pub rebalances_committed: u64,
-    /// Interrupted rebalances rolled back on recovery (crash before
-    /// the manifest flip).
-    pub rebalance_rollbacks: u64,
-    /// Interrupted rebalances rolled forward on recovery (crash after
-    /// the manifest flip).
-    pub rebalance_rollforwards: u64,
-    /// Grid cells whose owning shard changed across committed
-    /// rebalances.
-    pub cells_reassigned: u64,
+gisolap_obs::counters! {
+    /// Counters for elasticity work (failover probing and rebalancing),
+    /// published as `gisolap_elastic_<field>_total`.
+    pub struct ElasticStats {
+        /// Leader health probes sent.
+        probes,
+        /// Probes that failed (leader unreachable or fenced).
+        probe_failures,
+        /// Leases renewed by a successful probe.
+        lease_renewals,
+        /// Failovers completed (a replica promoted under a new epoch).
+        failovers,
+        /// Rebalances committed (manifest flipped to the new assignment).
+        rebalances_committed,
+        /// Interrupted rebalances rolled back on recovery (crash before
+        /// the manifest flip).
+        rebalance_rollbacks,
+        /// Interrupted rebalances rolled forward on recovery (crash after
+        /// the manifest flip).
+        rebalance_rollforwards,
+        /// Grid cells whose owning shard changed across committed
+        /// rebalances.
+        cells_reassigned,
+    }
+    metrics("gisolap_elastic_", "Shard elasticity counter.");
 }
 
 impl ElasticStats {
-    /// Every elasticity counter as a `(name, value)` pair, in
-    /// declaration order.
-    pub fn fields(&self) -> [(&'static str, u64); 8] {
-        [
-            ("probes", self.probes),
-            ("probe_failures", self.probe_failures),
-            ("lease_renewals", self.lease_renewals),
-            ("failovers", self.failovers),
-            ("rebalances_committed", self.rebalances_committed),
-            ("rebalance_rollbacks", self.rebalance_rollbacks),
-            ("rebalance_rollforwards", self.rebalance_rollforwards),
-            ("cells_reassigned", self.cells_reassigned),
-        ]
-    }
-
-    /// Publishes the elasticity counters into `registry` as
-    /// `gisolap_elastic_<field>_total`.
-    pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
-        for (field, value) in self.fields() {
-            let name = format!("gisolap_elastic_{field}_total");
-            registry.set_counter_u64(&name, "Shard elasticity counter.", &[], value);
-        }
-    }
-
     /// Folds a committed rebalance into the counters.
     pub fn note_rebalance(&mut self, report: &RebalanceReport) {
         self.rebalances_committed += 1;

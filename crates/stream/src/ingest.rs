@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use gisolap_obs::{MetricsRegistry, Span, Tracer};
+use gisolap_obs::{Span, Tracer};
 use gisolap_olap::time::TimeId;
 use gisolap_traj::{Moft, Record};
 
@@ -14,48 +14,25 @@ use crate::delta::{bucket_partials, CellPartial, DeltaCube, GroupKey, RollupQuer
 use crate::segment::{Segment, SegmentMeta};
 use crate::Result;
 
-/// Point-in-time copy of the ingest counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IngestStats {
-    /// Records accepted into a buffer (before dedup).
-    pub records_ingested: u64,
-    /// Records older than the sealed frontier, sent to the dead-letter
-    /// sink.
-    pub late_dropped: u64,
-    /// Segments sealed so far.
-    pub segments_sealed: u64,
-    /// Partial-aggregate entries merged into the [`DeltaCube`].
-    pub partials_merged: u64,
-    /// Live tail records scanned by rollup queries (cumulative).
-    pub tail_records_scanned: u64,
-}
-
-impl IngestStats {
-    /// Every ingest counter as a `(name, value)` pair. Names match the
-    /// engine-side [`StatsSnapshot` fields] these counters seed, so span
+gisolap_obs::counters! {
+    /// Point-in-time copy of the ingest counters. Names match the
+    /// engine-side `StatsSnapshot` fields these counters seed, so span
     /// attribution, metrics and `OBSERVABILITY.md` stay consistent
     /// across the batch and streaming paths.
-    ///
-    /// [`StatsSnapshot` fields]: https://docs.rs/gisolap-core
-    pub fn fields(&self) -> [(&'static str, u64); 5] {
-        [
-            ("records_ingested", self.records_ingested),
-            ("records_late_dropped", self.late_dropped),
-            ("segments_sealed", self.segments_sealed),
-            ("partials_merged", self.partials_merged),
-            ("tail_records_scanned", self.tail_records_scanned),
-        ]
+    pub struct IngestStats {
+        /// Records accepted into a buffer (before dedup).
+        records_ingested,
+        /// Records older than the sealed frontier, sent to the dead-letter
+        /// sink.
+        records_late_dropped,
+        /// Segments sealed so far.
+        segments_sealed,
+        /// Partial-aggregate entries merged into the [`DeltaCube`].
+        partials_merged,
+        /// Live tail records scanned by rollup queries (cumulative).
+        tail_records_scanned,
     }
-
-    /// Publishes the ingest counters into `registry` as
-    /// `gisolap_ingest_<field>_total` (no labels: one pipeline per
-    /// registry fill; label upstream if you scrape several).
-    pub fn fill_metrics(&self, registry: &mut MetricsRegistry) {
-        for (field, value) in self.fields() {
-            let name = format!("gisolap_ingest_{field}_total");
-            registry.set_counter_u64(&name, "Streaming ingest counter.", &[], value);
-        }
-    }
+    metrics("gisolap_ingest_", "Streaming ingest counter.");
 }
 
 /// What one sealed segment contributed to the [`DeltaCube`], observed
@@ -329,7 +306,7 @@ impl StreamIngest {
     pub fn stats(&self) -> IngestStats {
         IngestStats {
             records_ingested: self.records_ingested,
-            late_dropped: self.dead_letters.len() as u64,
+            records_late_dropped: self.dead_letters.len() as u64,
             segments_sealed: self.segments.len() as u64 + self.compacted_away,
             partials_merged: self.cube.merges(),
             tail_records_scanned: self.tail_records_scanned.load(Ordering::Relaxed),
@@ -647,6 +624,7 @@ impl StreamSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gisolap_obs::MetricsRegistry;
     use gisolap_olap::agg::AggFn;
     use gisolap_olap::time::TimeLevel;
     use gisolap_traj::ObjectId;
@@ -694,7 +672,7 @@ mod tests {
 
         let stats = s.stats();
         assert_eq!(stats.records_ingested, 3);
-        assert_eq!(stats.late_dropped, 1);
+        assert_eq!(stats.records_late_dropped, 1);
         assert_eq!(stats.segments_sealed, 1);
         assert_eq!(stats.partials_merged, 1); // hour 0, one cell
 
