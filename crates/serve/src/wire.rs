@@ -18,14 +18,15 @@
 //! aggregates — the convergence contract survives serialization.
 
 use gisolap_geom::BBox;
-use gisolap_olap::agg::AggFn;
-use gisolap_olap::time::{TimeId, TimeLevel};
+use gisolap_olap::time::TimeId;
 use gisolap_shard::wire as shard_wire;
 use gisolap_shard::GridSpec;
 use gisolap_store::codec::{decode_cells, encode_cells, frame, Dec, Enc};
-use gisolap_store::framing;
+use gisolap_store::framing::{
+    self, agg_code, agg_from, level_code, level_from, measure_code, measure_from,
+};
 use gisolap_store::{Result, StoreError};
-use gisolap_stream::{CellPartial, GroupKey, Measure, RollupQuery, RollupRow};
+use gisolap_stream::{CellPartial, GroupKey, RollupQuery, RollupRow};
 use gisolap_sub::{Notification, SubId, Subscription};
 
 // The socket envelope is the shared framing module's: one CRC frame
@@ -185,73 +186,6 @@ const REPLY_SHARDED_ROWS: u8 = 7;
 const REPLY_SUBSCRIBED: u8 = 8;
 const REPLY_NOTIFICATIONS: u8 = 9;
 
-fn level_code(level: TimeLevel) -> u8 {
-    match level {
-        TimeLevel::TimeId => 0,
-        TimeLevel::Minute => 1,
-        TimeLevel::Hour => 2,
-        TimeLevel::Day => 3,
-        TimeLevel::Month => 4,
-        TimeLevel::Year => 5,
-        TimeLevel::TimeOfDayLevel => 6,
-        TimeLevel::DayOfWeekLevel => 7,
-        TimeLevel::TypeOfDayLevel => 8,
-        TimeLevel::All => 9,
-    }
-}
-
-fn level_from(code: u8) -> Result<TimeLevel> {
-    Ok(match code {
-        0 => TimeLevel::TimeId,
-        1 => TimeLevel::Minute,
-        2 => TimeLevel::Hour,
-        3 => TimeLevel::Day,
-        4 => TimeLevel::Month,
-        5 => TimeLevel::Year,
-        6 => TimeLevel::TimeOfDayLevel,
-        7 => TimeLevel::DayOfWeekLevel,
-        8 => TimeLevel::TypeOfDayLevel,
-        9 => TimeLevel::All,
-        c => return Err(wire_corrupt(format!("unknown time level code {c}"))),
-    })
-}
-
-fn agg_code(f: AggFn) -> u8 {
-    match f {
-        AggFn::Min => 0,
-        AggFn::Max => 1,
-        AggFn::Count => 2,
-        AggFn::Sum => 3,
-        AggFn::Avg => 4,
-    }
-}
-
-fn agg_from(code: u8) -> Result<AggFn> {
-    Ok(match code {
-        0 => AggFn::Min,
-        1 => AggFn::Max,
-        2 => AggFn::Count,
-        3 => AggFn::Sum,
-        4 => AggFn::Avg,
-        c => return Err(wire_corrupt(format!("unknown aggregate code {c}"))),
-    })
-}
-
-fn measure_code(m: Measure) -> u8 {
-    match m {
-        Measure::X => 0,
-        Measure::Y => 1,
-    }
-}
-
-fn measure_from(code: u8) -> Result<Measure> {
-    Ok(match code {
-        0 => Measure::X,
-        1 => Measure::Y,
-        c => return Err(wire_corrupt(format!("unknown measure code {c}"))),
-    })
-}
-
 fn enc_rollup(e: &mut Enc, query: &RollupQuery) {
     e.u8(level_code(query.level));
     e.u8(measure_code(query.measure));
@@ -267,9 +201,9 @@ fn enc_rollup(e: &mut Enc, query: &RollupQuery) {
 }
 
 fn dec_rollup(d: &mut Dec<'_>) -> Result<RollupQuery> {
-    let level = level_from(d.u8()?)?;
-    let measure = measure_from(d.u8()?)?;
-    let f = agg_from(d.u8()?)?;
+    let level = level_from(d.u8()?, WIRE)?;
+    let measure = measure_from(d.u8()?, WIRE)?;
+    let f = agg_from(d.u8()?, WIRE)?;
     let between = match d.u8()? {
         0 => None,
         1 => Some((TimeId(d.i64()?), TimeId(d.i64()?))),
@@ -386,7 +320,7 @@ fn enc_rows(e: &mut Enc, rows: &[RollupRow]) {
                 e.u32(g);
             }
         }
-        e.u64(row.value.to_bits());
+        e.f64_bits(row.value);
     }
 }
 
@@ -406,7 +340,7 @@ fn dec_rows(d: &mut Dec<'_>) -> Result<Vec<RollupRow>> {
             1 => Some(d.u32()?),
             c => return Err(wire_corrupt(format!("bad geo flag {c}"))),
         };
-        let value = f64::from_bits(d.u64()?);
+        let value = d.f64_bits()?;
         rows.push(RollupRow {
             granule,
             geo,
@@ -520,6 +454,9 @@ pub fn decode_reply(payload: &[u8]) -> Result<ServeReply> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gisolap_olap::agg::AggFn;
+    use gisolap_olap::time::TimeLevel;
+    use gisolap_stream::Measure;
     use proptest::prelude::*;
     use std::io;
 
@@ -674,9 +611,9 @@ mod tests {
         for level in levels {
             for f in aggs {
                 for measure in [Measure::X, Measure::Y] {
-                    assert_eq!(level_from(level_code(level)).unwrap(), level);
-                    assert_eq!(agg_from(agg_code(f)).unwrap(), f);
-                    assert_eq!(measure_from(measure_code(measure)).unwrap(), measure);
+                    assert_eq!(level_from(level_code(level), WIRE).unwrap(), level);
+                    assert_eq!(agg_from(agg_code(f), WIRE).unwrap(), f);
+                    assert_eq!(measure_from(measure_code(measure), WIRE).unwrap(), measure);
                 }
             }
         }

@@ -22,20 +22,12 @@ const KIND_SPATIAL: u8 = 2;
 /// confused.
 const MANIFEST_V2: u8 = 0x32;
 
-fn enc_f64(e: &mut Enc, v: f64) {
-    e.u64(v.to_bits());
-}
-
-fn dec_f64(d: &mut Dec<'_>) -> Result<f64> {
-    Ok(f64::from_bits(d.u64()?))
-}
-
 /// Appends a grid spec (bbox as four bit-exact floats, then nx, ny).
 pub fn enc_grid(e: &mut Enc, g: &GridSpec) {
-    enc_f64(e, g.bbox.min_x);
-    enc_f64(e, g.bbox.min_y);
-    enc_f64(e, g.bbox.max_x);
-    enc_f64(e, g.bbox.max_y);
+    e.f64_bits(g.bbox.min_x);
+    e.f64_bits(g.bbox.min_y);
+    e.f64_bits(g.bbox.max_x);
+    e.f64_bits(g.bbox.max_y);
     e.u32(g.nx);
     e.u32(g.ny);
 }
@@ -43,7 +35,7 @@ pub fn enc_grid(e: &mut Enc, g: &GridSpec) {
 /// Reads a grid spec, re-validating it (a manifest edited by hand must
 /// not smuggle a zero-cell grid past the constructor).
 pub fn dec_grid(d: &mut Dec<'_>) -> Result<GridSpec> {
-    let bbox = BBox::new(dec_f64(d)?, dec_f64(d)?, dec_f64(d)?, dec_f64(d)?);
+    let bbox = BBox::new(d.f64_bits()?, d.f64_bits()?, d.f64_bits()?, d.f64_bits()?);
     let nx = d.u32()?;
     let ny = d.u32()?;
     GridSpec::new(bbox, nx, ny)
@@ -55,10 +47,10 @@ pub fn enc_region(e: &mut Enc, region: Option<&BBox>) {
         None => e.u8(0),
         Some(b) => {
             e.u8(1);
-            enc_f64(e, b.min_x);
-            enc_f64(e, b.min_y);
-            enc_f64(e, b.max_x);
-            enc_f64(e, b.max_y);
+            e.f64_bits(b.min_x);
+            e.f64_bits(b.min_y);
+            e.f64_bits(b.max_x);
+            e.f64_bits(b.max_y);
         }
     }
 }
@@ -68,10 +60,10 @@ pub fn dec_region(d: &mut Dec<'_>) -> Result<Option<BBox>> {
     match d.u8()? {
         0 => Ok(None),
         1 => Ok(Some(BBox::new(
-            dec_f64(d)?,
-            dec_f64(d)?,
-            dec_f64(d)?,
-            dec_f64(d)?,
+            d.f64_bits()?,
+            d.f64_bits()?,
+            d.f64_bits()?,
+            d.f64_bits()?,
         ))),
         b => Err(wire_corrupt(WIRE, format!("bad region flag {b}"))),
     }

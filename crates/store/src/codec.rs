@@ -184,7 +184,9 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn f64_bits(&mut self, v: f64) {
+    /// Appends an `f64` as its IEEE-754 bit pattern, so the value
+    /// decodes bit-identically (NaN payloads and `-0.0` included).
+    pub fn f64_bits(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
@@ -253,7 +255,8 @@ impl<'a> Dec<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn f64_bits(&mut self) -> Result<f64> {
+    /// Reads an `f64` written by [`Enc::f64_bits`].
+    pub fn f64_bits(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.u64()?))
     }
 

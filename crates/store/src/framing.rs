@@ -10,13 +10,20 @@
 //! * [`read_message`] / [`write_message`] — the socket envelope: a
 //!   capped length prefix ([`MAX_MESSAGE`]) so a mangled prefix can
 //!   never drive a multi-gigabyte allocation, CRC checked before any
-//!   payload byte is trusted.
+//!   payload byte is trusted;
+//! * the one-byte codes of the cube's query vocabulary — Time levels
+//!   ([`level_code`]), aggregate functions ([`agg_code`]) and measures
+//!   ([`measure_code`]) — with inverses that attribute an unknown code
+//!   to the caller's wire label.
 //!
-//! Before this module the single-frame decode and the corrupt-error
-//! construction were duplicated per protocol crate; new wire formats
-//! should build on these helpers instead of copying them again.
+//! New wire formats should build on these helpers instead of copying
+//! them.
 
 use std::io::{self, Read, Write};
+
+use gisolap_olap::agg::AggFn;
+use gisolap_olap::time::TimeLevel;
+use gisolap_stream::Measure;
 
 use crate::codec::{read_frame, FrameRead};
 use crate::{Result, StoreError};
@@ -49,6 +56,82 @@ pub fn decode_single_frame<'a>(bytes: &'a [u8], label: &str, what: &str) -> Resu
         FrameRead::End => Err(wire_corrupt(label, format!("empty {what}"))),
         FrameRead::Torn { detail } => Err(wire_corrupt(label, format!("torn {what}: {detail}"))),
     }
+}
+
+/// The wire code of a Time-hierarchy level.
+pub fn level_code(level: TimeLevel) -> u8 {
+    match level {
+        TimeLevel::TimeId => 0,
+        TimeLevel::Minute => 1,
+        TimeLevel::Hour => 2,
+        TimeLevel::Day => 3,
+        TimeLevel::Month => 4,
+        TimeLevel::Year => 5,
+        TimeLevel::TimeOfDayLevel => 6,
+        TimeLevel::DayOfWeekLevel => 7,
+        TimeLevel::TypeOfDayLevel => 8,
+        TimeLevel::All => 9,
+    }
+}
+
+/// The level behind a [`level_code`]; an unknown code is corruption of
+/// the wire `label`.
+pub fn level_from(code: u8, label: &str) -> Result<TimeLevel> {
+    Ok(match code {
+        0 => TimeLevel::TimeId,
+        1 => TimeLevel::Minute,
+        2 => TimeLevel::Hour,
+        3 => TimeLevel::Day,
+        4 => TimeLevel::Month,
+        5 => TimeLevel::Year,
+        6 => TimeLevel::TimeOfDayLevel,
+        7 => TimeLevel::DayOfWeekLevel,
+        8 => TimeLevel::TypeOfDayLevel,
+        9 => TimeLevel::All,
+        c => return Err(wire_corrupt(label, format!("unknown time level code {c}"))),
+    })
+}
+
+/// The wire code of an aggregate function.
+pub fn agg_code(f: AggFn) -> u8 {
+    match f {
+        AggFn::Min => 0,
+        AggFn::Max => 1,
+        AggFn::Count => 2,
+        AggFn::Sum => 3,
+        AggFn::Avg => 4,
+    }
+}
+
+/// The aggregate function behind an [`agg_code`]; an unknown code is
+/// corruption of the wire `label`.
+pub fn agg_from(code: u8, label: &str) -> Result<AggFn> {
+    Ok(match code {
+        0 => AggFn::Min,
+        1 => AggFn::Max,
+        2 => AggFn::Count,
+        3 => AggFn::Sum,
+        4 => AggFn::Avg,
+        c => return Err(wire_corrupt(label, format!("unknown aggregate code {c}"))),
+    })
+}
+
+/// The wire code of a coordinate measure.
+pub fn measure_code(m: Measure) -> u8 {
+    match m {
+        Measure::X => 0,
+        Measure::Y => 1,
+    }
+}
+
+/// The measure behind a [`measure_code`]; an unknown code is corruption
+/// of the wire `label`.
+pub fn measure_from(code: u8, label: &str) -> Result<Measure> {
+    Ok(match code {
+        0 => Measure::X,
+        1 => Measure::Y,
+        c => return Err(wire_corrupt(label, format!("unknown measure code {c}"))),
+    })
 }
 
 /// Writes one framed message to the socket.

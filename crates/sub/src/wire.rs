@@ -1,17 +1,18 @@
 //! Wire forms for subscriptions and notifications: single CRC frames
 //! over the store codec, like every other protocol in the workspace.
-//! The region codec is shared with the shard wire; the level/aggregate/
-//! measure code tables use the same numbering the serve wire assigned,
-//! so a value that roundtrips there roundtrips here.
+//! The region codec is shared with the shard wire, and the level/
+//! aggregate/measure code tables with the serve wire (both live in
+//! [`gisolap_store::framing`]), so a value that roundtrips there
+//! roundtrips here.
 
 use crate::registry::{SubId, Subscription, Threshold};
 use crate::standing::{Crossing, Notification};
-use gisolap_olap::agg::AggFn;
-use gisolap_olap::time::TimeLevel;
 use gisolap_store::codec::{frame, Dec, Enc};
-use gisolap_store::framing::decode_single_frame;
+use gisolap_store::framing::{
+    agg_code, agg_from, decode_single_frame, level_code, level_from, measure_code, measure_from,
+};
 use gisolap_store::Result;
-use gisolap_stream::{Measure, RollupRow};
+use gisolap_stream::RollupRow;
 
 /// The label corrupt frames are attributed to.
 const WIRE: &str = "sub-wire";
@@ -24,87 +25,12 @@ fn wire_corrupt(detail: impl Into<String>) -> gisolap_store::StoreError {
 /// flag + value) — the plausibility bound for declared row counts.
 const MIN_ROW: usize = 8 + 1 + 8;
 
-fn level_code(level: TimeLevel) -> u8 {
-    match level {
-        TimeLevel::TimeId => 0,
-        TimeLevel::Minute => 1,
-        TimeLevel::Hour => 2,
-        TimeLevel::Day => 3,
-        TimeLevel::Month => 4,
-        TimeLevel::Year => 5,
-        TimeLevel::TimeOfDayLevel => 6,
-        TimeLevel::DayOfWeekLevel => 7,
-        TimeLevel::TypeOfDayLevel => 8,
-        TimeLevel::All => 9,
-    }
-}
-
-fn level_from(code: u8) -> Result<TimeLevel> {
-    Ok(match code {
-        0 => TimeLevel::TimeId,
-        1 => TimeLevel::Minute,
-        2 => TimeLevel::Hour,
-        3 => TimeLevel::Day,
-        4 => TimeLevel::Month,
-        5 => TimeLevel::Year,
-        6 => TimeLevel::TimeOfDayLevel,
-        7 => TimeLevel::DayOfWeekLevel,
-        8 => TimeLevel::TypeOfDayLevel,
-        9 => TimeLevel::All,
-        c => return Err(wire_corrupt(format!("unknown time level code {c}"))),
-    })
-}
-
-fn agg_code(f: AggFn) -> u8 {
-    match f {
-        AggFn::Min => 0,
-        AggFn::Max => 1,
-        AggFn::Count => 2,
-        AggFn::Sum => 3,
-        AggFn::Avg => 4,
-    }
-}
-
-fn agg_from(code: u8) -> Result<AggFn> {
-    Ok(match code {
-        0 => AggFn::Min,
-        1 => AggFn::Max,
-        2 => AggFn::Count,
-        3 => AggFn::Sum,
-        4 => AggFn::Avg,
-        c => return Err(wire_corrupt(format!("unknown aggregate code {c}"))),
-    })
-}
-
-fn measure_code(m: Measure) -> u8 {
-    match m {
-        Measure::X => 0,
-        Measure::Y => 1,
-    }
-}
-
-fn measure_from(code: u8) -> Result<Measure> {
-    Ok(match code {
-        0 => Measure::X,
-        1 => Measure::Y,
-        c => return Err(wire_corrupt(format!("unknown measure code {c}"))),
-    })
-}
-
-fn enc_f64(e: &mut Enc, v: f64) {
-    e.u64(v.to_bits());
-}
-
-fn dec_f64(d: &mut Dec<'_>) -> Result<f64> {
-    Ok(f64::from_bits(d.u64()?))
-}
-
 fn enc_opt_f64(e: &mut Enc, v: Option<f64>) {
     match v {
         None => e.u8(0),
         Some(v) => {
             e.u8(1);
-            enc_f64(e, v);
+            e.f64_bits(v);
         }
     }
 }
@@ -112,7 +38,7 @@ fn enc_opt_f64(e: &mut Enc, v: Option<f64>) {
 fn dec_opt_f64(d: &mut Dec<'_>) -> Result<Option<f64>> {
     match d.u8()? {
         0 => Ok(None),
-        1 => Ok(Some(dec_f64(d)?)),
+        1 => Ok(Some(d.f64_bits()?)),
         c => Err(wire_corrupt(format!("bad optional-value flag {c}"))),
     }
 }
@@ -135,8 +61,8 @@ pub fn enc_subscription(e: &mut Enc, sub: &Subscription) {
         None => e.u8(0),
         Some(t) => {
             e.u8(1);
-            enc_f64(e, t.rise);
-            enc_f64(e, t.fall);
+            e.f64_bits(t.rise);
+            e.f64_bits(t.fall);
         }
     }
 }
@@ -145,9 +71,9 @@ pub fn enc_subscription(e: &mut Enc, sub: &Subscription) {
 /// caller does ([`decode_subscription`], or registration itself).
 pub fn dec_subscription(d: &mut Dec<'_>) -> Result<Subscription> {
     let region = gisolap_shard::wire::dec_region(d)?;
-    let level = level_from(d.u8()?)?;
-    let measure = measure_from(d.u8()?)?;
-    let agg = agg_from(d.u8()?)?;
+    let level = level_from(d.u8()?, WIRE)?;
+    let measure = measure_from(d.u8()?, WIRE)?;
+    let agg = agg_from(d.u8()?, WIRE)?;
     let window_hours = match d.u8()? {
         0 => None,
         1 => Some(d.u32()?),
@@ -156,8 +82,8 @@ pub fn dec_subscription(d: &mut Dec<'_>) -> Result<Subscription> {
     let threshold = match d.u8()? {
         0 => None,
         1 => Some(Threshold {
-            rise: dec_f64(d)?,
-            fall: dec_f64(d)?,
+            rise: d.f64_bits()?,
+            fall: d.f64_bits()?,
         }),
         c => return Err(wire_corrupt(format!("bad threshold flag {c}"))),
     };
@@ -207,7 +133,7 @@ pub fn enc_notification(e: &mut Enc, n: &Notification) {
                 e.u32(g);
             }
         }
-        enc_f64(e, row.value);
+        e.f64_bits(row.value);
     }
     enc_opt_f64(e, n.value);
     enc_opt_f64(e, n.prev);
@@ -238,7 +164,7 @@ pub fn dec_notification(d: &mut Dec<'_>) -> Result<Notification> {
             1 => Some(d.u32()?),
             c => return Err(wire_corrupt(format!("bad geo flag {c}"))),
         };
-        let value = dec_f64(d)?;
+        let value = d.f64_bits()?;
         rows.push(RollupRow {
             granule,
             geo,
@@ -284,6 +210,9 @@ pub fn decode_notification(bytes: &[u8]) -> Result<Notification> {
 mod tests {
     use super::*;
     use gisolap_geom::BBox;
+    use gisolap_olap::agg::AggFn;
+    use gisolap_olap::time::TimeLevel;
+    use gisolap_stream::Measure;
     use proptest::prelude::*;
 
     fn subscriptions() -> Vec<Subscription> {
