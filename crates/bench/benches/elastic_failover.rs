@@ -17,6 +17,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
+use gisolap_bench::percentile;
 use gisolap_geom::BBox;
 use gisolap_olap::time::TimeId;
 use gisolap_repl::FollowerConfig;
@@ -99,11 +100,6 @@ fn warm_group(scratch: &ScratchDir, tag: usize, records: u64) -> ShardGroup {
         group.tick().unwrap();
     }
     group
-}
-
-fn percentile(sorted: &[u64], pct: usize) -> u64 {
-    let idx = (sorted.len().saturating_sub(1) * pct) / 100;
-    sorted[idx]
 }
 
 /// Criterion leg: the steady-state cost of one controller tick (replica

@@ -16,6 +16,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::Instant;
 
+use gisolap_bench::percentile;
 use gisolap_core::engine::{IndexedEngine, QueryEngine};
 use gisolap_core::region::{CmpOp, GeoFilter, RegionC, SpatialPredicate, TimePredicate};
 use gisolap_datagen::movers::RandomWaypoint;
@@ -70,11 +71,6 @@ fn selective_region(moft: &Moft) -> RegionC {
                 value: Value::Int(2200),
             },
         ))
-}
-
-fn percentile(sorted: &[u64], pct: usize) -> u64 {
-    let idx = (sorted.len().saturating_sub(1) * pct) / 100;
-    sorted[idx]
 }
 
 /// Latency distribution of `reps` evaluations of `region` on `engine`

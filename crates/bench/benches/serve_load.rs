@@ -13,6 +13,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::Instant;
 
+use gisolap_bench::percentile;
 use gisolap_datagen::movers::RandomWaypoint;
 use gisolap_datagen::{CityConfig, CityScenario};
 use gisolap_olap::agg::AggFn;
@@ -86,11 +87,6 @@ fn client_run(addr: std::net::SocketAddr, requests: usize) -> Vec<u64> {
         black_box(rows.len());
     }
     latencies
-}
-
-fn percentile(sorted: &[u64], pct: usize) -> u64 {
-    let idx = (sorted.len().saturating_sub(1) * pct) / 100;
-    sorted[idx]
 }
 
 fn bench_round_trip(c: &mut Criterion) {

@@ -17,6 +17,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
+use gisolap_bench::percentile;
 use gisolap_datagen::movers::SkewedFleet;
 use gisolap_geom::BBox;
 use gisolap_olap::agg::AggFn;
@@ -88,11 +89,6 @@ fn cluster_with(root: &ScratchDir, shards: u32, records: &[Record]) -> ShardedIn
     .unwrap();
     cluster.ingest(records).unwrap();
     cluster
-}
-
-fn percentile(sorted: &[u64], pct: usize) -> u64 {
-    let idx = (sorted.len().saturating_sub(1) * pct) / 100;
-    sorted[idx]
 }
 
 /// Latency distribution of `reps` evaluations of `q` on `cluster`.

@@ -18,6 +18,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::Instant;
 
+use gisolap_bench::percentile;
 use gisolap_datagen::EventCrowd;
 use gisolap_geom::BBox;
 use gisolap_olap::agg::AggFn;
@@ -94,11 +95,6 @@ fn prefix_evaluator(pipeline: &StreamIngest) -> StandingEvaluator {
         evaluator.fold(seg.meta().partition, seg.partials());
     }
     evaluator
-}
-
-fn percentile(sorted: &[u64], pct: usize) -> u64 {
-    let idx = (sorted.len().saturating_sub(1) * pct) / 100;
-    sorted[idx]
 }
 
 fn bench_rebuild(c: &mut Criterion) {

@@ -3,7 +3,8 @@
 //! Shared fixtures for the Criterion benchmark harness. Each bench target
 //! under `benches/` regenerates one experiment of EXPERIMENTS.md; this
 //! library provides the scenario construction they share so that every
-//! bench measures query time, not data generation.
+//! bench measures query time, not data generation, plus the percentile
+//! the latency benches report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,4 +42,11 @@ pub fn scenario(blocks_x: usize, blocks_y: usize, objects: usize, samples: usize
         moft,
         label: format!("{blocks_x}x{blocks_y}-o{objects}-s{samples}"),
     }
+}
+
+/// The `pct`-th percentile of an ascending `sorted` sample: the element
+/// at index `⌊(len − 1) · pct / 100⌋`. Panics on an empty sample.
+pub fn percentile(sorted: &[u64], pct: usize) -> u64 {
+    let idx = (sorted.len().saturating_sub(1) * pct) / 100;
+    sorted[idx]
 }
