@@ -1,5 +1,5 @@
 //! Index pruning payoff: selective region × time queries through the
-//! [`MoftIndex`] bundle versus the forced scan (`GISOLAP_INDEX=0`) on
+//! [`MoftIndex`] bundle versus the forced scan (`.without_index()`) on
 //! the *same* engine class — so R-trees, overlay caches and the rest of
 //! the pipeline are held constant and only the MOFT-side index varies.
 //!
@@ -92,7 +92,6 @@ fn measure(engine: &IndexedEngine, region: &RegionC, reps: usize) -> Vec<u64> {
 fn bench_indexed_eval(c: &mut Criterion) {
     let (city, moft) = scenario();
     let region = selective_region(&moft);
-    std::env::remove_var("GISOLAP_INDEX");
     let engine = IndexedEngine::new(&city.gis, &moft);
 
     let mut group = c.benchmark_group("index_prune");
@@ -108,11 +107,8 @@ fn emit_artifact() {
     let region = selective_region(&moft);
     let (lo, hi) = selective_window(&moft);
 
-    std::env::remove_var("GISOLAP_INDEX");
     let indexed = IndexedEngine::new(&city.gis, &moft);
-    std::env::set_var("GISOLAP_INDEX", "0");
-    let scan = IndexedEngine::new(&city.gis, &moft);
-    std::env::remove_var("GISOLAP_INDEX");
+    let scan = IndexedEngine::new(&city.gis, &moft).without_index();
 
     // Identical answers first (the determinism contract), then timing.
     assert_eq!(
@@ -132,7 +128,17 @@ fn emit_artifact() {
         snap.index_records_pruned > 0,
         "the selective window must prune records ({snap:?})"
     );
-    assert_eq!(scan.stats().snapshot().index_interval_probes, 0);
+    // The scan side must touch no index at all.
+    let scan_snap = scan.stats().snapshot();
+    assert_eq!(
+        scan_snap.index_interval_probes
+            + scan_snap.index_bvh_probes
+            + scan_snap.index_zones_scanned
+            + scan_snap.index_zones_pruned
+            + scan_snap.index_records_pruned,
+        0,
+        "the scan side consulted an index ({scan_snap:?})"
+    );
 
     let p = |v: &[u64], pct| percentile(v, pct);
     let speedup_p50 = p(&lat_scan, 50) as f64 / p(&lat_idx, 50).max(1) as f64;

@@ -45,6 +45,8 @@ fn physical_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
+// Flips GISOLAP_THREADS: the rayon shim has no in-process override.
+#[allow(clippy::disallowed_methods)]
 fn bench_eval_many(c: &mut Criterion) {
     let cores = physical_parallelism();
     let mut group = c.benchmark_group("par_eval_many");
@@ -78,6 +80,8 @@ fn bench_eval_many(c: &mut Criterion) {
     }
 }
 
+// Flips GISOLAP_THREADS: the rayon shim has no in-process override.
+#[allow(clippy::disallowed_methods)]
 fn bench_engine_build(c: &mut Criterion) {
     // OverlayEngine construction runs R-tree builds and the overlay
     // precompute concurrently; measure both thread settings.

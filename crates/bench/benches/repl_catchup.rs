@@ -20,8 +20,7 @@
 //! bar. Besides the Criterion groups, the bench emits a
 //! machine-readable summary to the path in `BENCH_REPL_OUT` (default
 //! `BENCH_repl.json` in the package root) so CI can archive the
-//! artifact. Set `REPL_CATCHUP_NO_ASSERT` to skip the bar (e.g. on
-//! wildly noisy machines).
+//! artifact.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -259,14 +258,12 @@ fn emit_artifact() {
         );
 
         let speedup = snap_ns as f64 / tail_ns.max(1) as f64;
-        if std::env::var("REPL_CATCHUP_NO_ASSERT").is_err() {
-            assert!(
-                speedup >= 2.0,
-                "WAL-tail catch-up of the last {}% must be ≥2x faster than a \
-                 full snapshot transfer, got {speedup:.2}x",
-                100 - BEHIND_AT,
-            );
-        }
+        assert!(
+            speedup >= 2.0,
+            "WAL-tail catch-up of the last {}% must be ≥2x faster than a \
+             full snapshot transfer, got {speedup:.2}x",
+            100 - BEHIND_AT,
+        );
 
         entries.push(format!(
             concat!(

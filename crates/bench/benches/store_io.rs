@@ -174,12 +174,10 @@ fn emit_artifact() {
             cold.stats().records_ingested,
         );
         let speedup = cold_ns as f64 / recover_ns.max(1) as f64;
-        if std::env::var("STORE_IO_NO_ASSERT").is_err() {
-            assert!(
-                speedup >= 2.0,
-                "recovery replay must be ≥2x faster than cold re-ingest, got {speedup:.2}x"
-            );
-        }
+        assert!(
+            speedup >= 2.0,
+            "recovery replay must be ≥2x faster than cold re-ingest, got {speedup:.2}x"
+        );
 
         // Compaction win: merge all sealed files, recover again.
         let mut durable = run_recover(&dir);

@@ -37,7 +37,7 @@ use std::time::Instant;
 use rayon::prelude::*;
 
 use gisolap_geom::{BBox, Point};
-use gisolap_index::RTree;
+use gisolap_index::{RTree, DEFAULT_ZONE_ROWS};
 use gisolap_olap::time::{TimeDimension, TimeId, TimeOfDay};
 use gisolap_stream::{SegmentMeta, StreamSnapshot};
 use gisolap_traj::bead::{Bead, Reachability};
@@ -1011,7 +1011,7 @@ pub fn explain<E: QueryEngine + ?Sized>(engine: &E, region: &RegionC) -> Result<
     if let Some(idx) = engine.moft_index() {
         steps.push(format!(
             "consult the MOFT index: interval tree over {} object extent(s), BVH + zone map of \
-             {} block(s) (disable with GISOLAP_INDEX=0)",
+             {} block(s)",
             idx.extents().len(),
             idx.zone_map().zones().len()
         ));
@@ -1415,16 +1415,18 @@ pub struct IndexedEngine<'a> {
 
 impl<'a> IndexedEngine<'a> {
     /// Creates the engine, building one R-tree per layer plus the
-    /// MOFT-side [`MoftIndex`] (unless `GISOLAP_INDEX=0`) — independent
-    /// precomputations, run in parallel.
+    /// MOFT-side [`MoftIndex`] — independent precomputations, run in
+    /// parallel.
     pub fn new(gis: &'a Gis, moft: &'a Moft) -> IndexedEngine<'a> {
-        let (rtrees, mindex) =
-            rayon::join(|| build_layer_rtrees(gis), || MoftIndex::from_env(moft));
+        let (rtrees, mindex) = rayon::join(
+            || build_layer_rtrees(gis),
+            || MoftIndex::build(moft, DEFAULT_ZONE_ROWS),
+        );
         IndexedEngine {
             gis,
             moft,
             rtrees,
-            mindex,
+            mindex: Some(mindex),
             stream: None,
             stats: EngineStats::new(),
             obs: None,
@@ -1444,6 +1446,13 @@ impl<'a> IndexedEngine<'a> {
     /// log, span tracer).
     pub fn with_obs(mut self, obs: QueryObs) -> IndexedEngine<'a> {
         self.obs = Some(obs);
+        self
+    }
+
+    /// Drops the [`MoftIndex`], so every query takes the pure scan path:
+    /// the reference the index-equivalence tests compare against.
+    pub fn without_index(mut self) -> IndexedEngine<'a> {
+        self.mindex = None;
         self
     }
 }
@@ -1533,13 +1542,13 @@ impl<'a> OverlayEngine<'a> {
         // precomputations.
         let ((rtrees, cache), mindex) = rayon::join(
             || rayon::join(|| build_layer_rtrees(gis), || OverlayCache::precompute(gis)),
-            || MoftIndex::from_env(moft),
+            || MoftIndex::build(moft, DEFAULT_ZONE_ROWS),
         );
         OverlayEngine {
             gis,
             moft,
             rtrees,
-            mindex,
+            mindex: Some(mindex),
             cache,
             stream: None,
             stats: EngineStats::new(),
@@ -1563,7 +1572,7 @@ impl<'a> OverlayEngine<'a> {
             gis,
             moft,
             rtrees: build_layer_rtrees(gis),
-            mindex: MoftIndex::from_env(moft),
+            mindex: Some(MoftIndex::build(moft, DEFAULT_ZONE_ROWS)),
             cache,
             stream: None,
             stats: EngineStats::new(),
@@ -1575,6 +1584,13 @@ impl<'a> OverlayEngine<'a> {
     /// log, span tracer).
     pub fn with_obs(mut self, obs: QueryObs) -> OverlayEngine<'a> {
         self.obs = Some(obs);
+        self
+    }
+
+    /// Drops the [`MoftIndex`], so every query takes the pure scan path
+    /// (see [`IndexedEngine::without_index`]).
+    pub fn without_index(mut self) -> OverlayEngine<'a> {
+        self.mindex = None;
         self
     }
 

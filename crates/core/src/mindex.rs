@@ -22,9 +22,9 @@
 //! the same order. Candidates come back in ascending object-id order
 //! (the interval tree and BVH return hits in insertion order, and
 //! extents are inserted ascending by oid), which matches the canonical
-//! `(oid, t)` record order the scan path walks. `GISOLAP_INDEX=0`
-//! disables consultation entirely; the equivalence proptests compare the
-//! two paths case by case.
+//! `(oid, t)` record order the scan path walks. An engine built with
+//! `without_index()` never consults a bundle; the equivalence proptests
+//! compare the two paths case by case.
 
 use gisolap_geom::BBox;
 use gisolap_index::{Bvh, IntervalTree, ZoneMap};
@@ -135,20 +135,6 @@ impl MoftIndex {
             bvh,
             zones,
         }
-    }
-
-    /// Builds the bundle honouring the environment: returns `None` when
-    /// `GISOLAP_INDEX=0` (pure-scan mode), otherwise builds with
-    /// `GISOLAP_INDEX_ZONE_ROWS` rows per zone (default 256).
-    pub fn from_env(moft: &Moft) -> Option<MoftIndex> {
-        if gisolap_obs::config::INDEX.parse_u64() == Some(0) {
-            return None;
-        }
-        let rows = gisolap_obs::config::INDEX_ZONE_ROWS
-            .parse_u64()
-            .map(|v| v.clamp(1, u32::MAX as u64) as u32)
-            .unwrap_or(gisolap_index::DEFAULT_ZONE_ROWS);
-        Some(MoftIndex::build(moft, rows))
     }
 
     /// Per-object extents, ascending by oid, covering every record

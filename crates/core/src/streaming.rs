@@ -68,23 +68,25 @@ pub fn layer_geo_resolver(gis: &Gis, layer: &str) -> Result<GeoResolver> {
 ///
 /// ```no_run
 /// # use gisolap_core::{Gis, NaiveEngine};
+/// # use gisolap_store::StoreConfig;
 /// # let gis = Gis::new();
-/// let (snapshot, report) = gisolap_core::recover_snapshot("data/store".as_ref(), None)?;
+/// let (snapshot, report) =
+///     gisolap_core::recover_snapshot("data/store".as_ref(), StoreConfig::from_env(), None)?;
 /// let engine = NaiveEngine::from_snapshot(&gis, &snapshot);
 /// # Ok::<(), gisolap_core::CoreError>(())
 /// ```
 ///
 /// `resolver` must be the geometry resolver (if any) the original
 /// pipeline used — build it with [`layer_geo_resolver`] over the same
-/// layer. The store is opened with [`StoreConfig::from_env`] (the
-/// `GISOLAP_STORE_*` flags) and released when this returns; recovered
+/// layer. The store is opened with `config` (an entry point passes
+/// [`StoreConfig::from_env`]) and released when this returns; recovered
 /// state is bit-identical to the pre-crash durable state.
 pub fn recover_snapshot(
     dir: &Path,
+    config: StoreConfig,
     resolver: Option<GeoResolver>,
 ) -> Result<(StreamSnapshot, RecoveryReport)> {
-    let (durable, report) =
-        DurableIngest::recover(Arc::new(RealFs), dir, StoreConfig::from_env(), resolver)?;
+    let (durable, report) = DurableIngest::recover(Arc::new(RealFs), dir, config, resolver)?;
     let snapshot = durable.snapshot()?;
     Ok((snapshot, report))
 }
@@ -175,8 +177,12 @@ mod tests {
         durable.ingest(&records[2..]).unwrap();
         drop(durable);
 
-        let (snapshot, report) =
-            recover_snapshot(dir.path(), Some(layer_geo_resolver(&gis, "Ln").unwrap())).unwrap();
+        let (snapshot, report) = recover_snapshot(
+            dir.path(),
+            StoreConfig::default(),
+            Some(layer_geo_resolver(&gis, "Ln").unwrap()),
+        )
+        .unwrap();
         assert!(report.checkpoint_loaded);
         let expected = reference.snapshot().unwrap();
         assert_eq!(snapshot.moft().records(), expected.moft().records());
@@ -190,7 +196,12 @@ mod tests {
         assert_eq!(a.eval(&region).unwrap(), b.eval(&region).unwrap());
 
         // A missing directory is a CoreError::Store, not a panic.
-        let err = recover_snapshot("this/dir/does/not/exist".as_ref(), None).unwrap_err();
+        let err = recover_snapshot(
+            "this/dir/does/not/exist".as_ref(),
+            StoreConfig::default(),
+            None,
+        )
+        .unwrap_err();
         assert!(matches!(err, crate::CoreError::Store(_)));
     }
 }

@@ -28,8 +28,9 @@
 
 use gisolap_geom::BBox;
 
-/// The default number of rows summarized per zone
-/// (`GISOLAP_INDEX_ZONE_ROWS`).
+/// The number of rows summarized per zone in every zone map the
+/// workspace builds (segments and the in-memory `MoftIndex`). Decoding
+/// keeps the `rows_per_zone` persisted with each map.
 pub const DEFAULT_ZONE_ROWS: u32 = 256;
 
 /// Summary of one contiguous block of canonically ordered rows.

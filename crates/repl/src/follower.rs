@@ -5,7 +5,6 @@
 use crate::leader::{EpochFence, Leader};
 use crate::transport::Transport;
 use crate::wire::{self, Reply, Request, SnapshotTransfer};
-use gisolap_obs::config as obs_config;
 use gisolap_obs::{MetricsRegistry, Span, Tracer};
 use gisolap_store::{DurableIngest, FlushReport, Result, StoreConfig, StoreError, Vfs};
 use gisolap_stream::{
@@ -37,16 +36,15 @@ fn elapsed_ns(since: Instant) -> u64 {
 /// Tuning knobs for a [`Follower`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FollowerConfig {
-    /// Staleness bound in sequence numbers for lag-bounded reads
-    /// (`GISOLAP_REPL_MAX_LAG_SEQS`); `None` = unbounded.
+    /// Staleness bound in sequence numbers for lag-bounded reads;
+    /// `None` = unbounded.
     pub max_lag_seqs: Option<u64>,
     /// Staleness bound in milliseconds since last leader contact for
     /// lag-bounded reads; `None` = unbounded.
     pub max_lag_ms: Option<u64>,
-    /// Base retry backoff in milliseconds (`GISOLAP_REPL_BACKOFF_MS`).
-    /// Doubles per consecutive failure, capped at
-    /// [`FollowerConfig::backoff_max_ms`], jittered to `[raw/2, raw]`.
-    /// `0` disables sleeping (tests).
+    /// Base retry backoff in milliseconds. Doubles per consecutive
+    /// failure, capped at [`FollowerConfig::backoff_max_ms`], jittered
+    /// to `[raw/2, raw]`. `0` disables sleeping (tests).
     pub backoff_base_ms: u64,
     /// Backoff ceiling in milliseconds.
     pub backoff_max_ms: u64,
@@ -68,21 +66,6 @@ impl Default for FollowerConfig {
             max_batch: 512,
             jitter_seed: 0,
             traced: false,
-        }
-    }
-}
-
-impl FollowerConfig {
-    /// Reads the `GISOLAP_REPL_*` environment flags, falling back to the
-    /// defaults.
-    pub fn from_env() -> FollowerConfig {
-        let defaults = FollowerConfig::default();
-        FollowerConfig {
-            max_lag_seqs: obs_config::REPL_MAX_LAG_SEQS.parse_u64(),
-            backoff_base_ms: obs_config::REPL_BACKOFF_MS
-                .parse_u64()
-                .unwrap_or(defaults.backoff_base_ms),
-            ..defaults
         }
     }
 }
@@ -1347,20 +1330,6 @@ mod tests {
             }
             other => panic!("expected BadConfig, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn follower_config_from_env_reads_flags() {
-        std::env::set_var("GISOLAP_REPL_MAX_LAG_SEQS", "7");
-        std::env::set_var("GISOLAP_REPL_BACKOFF_MS", "3");
-        let cfg = FollowerConfig::from_env();
-        assert_eq!(cfg.max_lag_seqs, Some(7));
-        assert_eq!(cfg.backoff_base_ms, 3);
-        std::env::remove_var("GISOLAP_REPL_MAX_LAG_SEQS");
-        std::env::remove_var("GISOLAP_REPL_BACKOFF_MS");
-        let cfg = FollowerConfig::from_env();
-        assert_eq!(cfg.max_lag_seqs, None);
-        assert_eq!(cfg.backoff_base_ms, 10);
     }
 
     #[test]

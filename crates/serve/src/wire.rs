@@ -157,9 +157,10 @@ pub enum ServeReply {
     /// A standing query was registered; its stable id.
     Subscribed(SubId),
     /// Buffered standing-query notifications plus the next catch-up
-    /// cursor. The buffer is a bounded ring (`GISOLAP_SUB_BUFFER`), so
-    /// very old notifications may be gone — values never lie, delivery
-    /// of every historical push is not promised over this pull path.
+    /// cursor. The buffer is a bounded ring
+    /// ([`gisolap_sub::DEFAULT_BUFFER_CAP`] entries), so very old
+    /// notifications may be gone — values never lie, delivery of every
+    /// historical push is not promised over this pull path.
     Notifications {
         /// Notifications with `seq >= since`, in emission order.
         items: Vec<Notification>,

@@ -41,7 +41,6 @@ use crate::cluster::{self, shard_dir, ShardedIngest};
 use crate::coordinator::ShardExecutor;
 use crate::partition::{GridSpec, Partitioner, PartitionerSpec, SpatialPartitioner};
 use crate::wire::{self, RebalanceJournal};
-use gisolap_obs::config as obs_config;
 use gisolap_obs::MetricsRegistry;
 use gisolap_olap::time::TimeDimension;
 use gisolap_repl::{
@@ -68,13 +67,11 @@ pub const REBALANCE_JOURNAL: &str = "REBALANCE";
 /// tests need no clocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ElasticConfig {
-    /// Ticks a lease stays valid after a successful probe
-    /// (`GISOLAP_ELASTIC_LEASE_TICKS`). Failover requires an *expired*
-    /// lease and a failed probe, so one dropped probe never deposes a
-    /// healthy leader.
+    /// Ticks a lease stays valid after a successful probe. Failover
+    /// requires an *expired* lease and a failed probe, so one dropped
+    /// probe never deposes a healthy leader.
     pub lease_ticks: u64,
-    /// Ticks between leader health probes
-    /// (`GISOLAP_ELASTIC_PROBE_TICKS`).
+    /// Ticks between leader health probes.
     pub probe_every: u64,
 }
 
@@ -84,26 +81,6 @@ impl Default for ElasticConfig {
             lease_ticks: 10,
             probe_every: 2,
         }
-    }
-}
-
-impl ElasticConfig {
-    /// Defaults overridden by the `GISOLAP_ELASTIC_*` environment
-    /// flags; zero values are ignored (a zero lease or probe interval
-    /// is never meaningful).
-    pub fn from_env() -> ElasticConfig {
-        let mut config = ElasticConfig::default();
-        if let Some(v) = obs_config::ELASTIC_LEASE_TICKS.parse_u64() {
-            if v > 0 {
-                config.lease_ticks = v;
-            }
-        }
-        if let Some(v) = obs_config::ELASTIC_PROBE_TICKS.parse_u64() {
-            if v > 0 {
-                config.probe_every = v;
-            }
-        }
-        config
     }
 }
 
@@ -1462,13 +1439,5 @@ mod tests {
                 "metric for {field} missing"
             );
         }
-    }
-
-    #[test]
-    fn elastic_config_reads_env() {
-        // Defaults when unset.
-        std::env::remove_var("GISOLAP_ELASTIC_LEASE_TICKS");
-        std::env::remove_var("GISOLAP_ELASTIC_PROBE_TICKS");
-        assert_eq!(ElasticConfig::from_env(), ElasticConfig::default());
     }
 }

@@ -41,6 +41,8 @@ pub mod standing;
 pub mod wire;
 
 pub use follow::StandingFollower;
-pub use registry::{Registry, SubId, Subscription, Threshold};
+pub use registry::{Registry, SubId, Subscription, Threshold, DEFAULT_MAX_SUBS};
 pub use sink::{ChannelSink, GaugeSink, LogSink, Sink};
-pub use standing::{window_value, Crossing, Notification, StandingEvaluator, SubStats};
+pub use standing::{
+    window_value, Crossing, Notification, StandingEvaluator, SubStats, DEFAULT_BUFFER_CAP,
+};

@@ -130,9 +130,12 @@ impl Subscription {
     }
 }
 
+/// Subscriptions a [`crate::StandingEvaluator::new`] registry admits.
+pub const DEFAULT_MAX_SUBS: usize = 1024;
+
 /// The subscription table: validated entries under stable ascending ids,
-/// capped at a maximum (`GISOLAP_SUB_MAX`) so one tenant cannot degrade
-/// fold latency for everyone unboundedly.
+/// capped at a maximum (default [`DEFAULT_MAX_SUBS`]) so one tenant
+/// cannot degrade fold latency for everyone unboundedly.
 #[derive(Debug, Clone)]
 pub struct Registry {
     max: usize,
@@ -148,12 +151,6 @@ impl Registry {
             next: 0,
             subs: BTreeMap::new(),
         }
-    }
-
-    /// An empty registry capped by `GISOLAP_SUB_MAX` (default 1024).
-    pub fn from_env() -> Registry {
-        let max = gisolap_obs::config::SUB_MAX.parse_u64().unwrap_or(1024);
-        Registry::new(usize::try_from(max).unwrap_or(usize::MAX))
     }
 
     /// Validates and admits `sub`, assigning the next stable id.

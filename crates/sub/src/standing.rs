@@ -11,7 +11,7 @@
 //!
 //! [`DeltaCube`]: gisolap_stream::DeltaCube
 
-use crate::registry::{Registry, SubId, Subscription};
+use crate::registry::{Registry, SubId, Subscription, DEFAULT_MAX_SUBS};
 use crate::sink::Sink;
 use gisolap_obs::{MetricsRegistry, Span, Tracer};
 use gisolap_olap::agg::Partial;
@@ -144,6 +144,11 @@ impl SubState {
     }
 }
 
+/// Notifications a [`StandingEvaluator::new`] evaluator buffers for
+/// catch-up reads; the oldest are dropped first once the ring is full
+/// (sinks attached directly still see every notification).
+pub const DEFAULT_BUFFER_CAP: usize = 1024;
+
 /// The incremental evaluator: a [`Registry`] plus per-subscription
 /// running state, sinks and a bounded catch-up buffer.
 ///
@@ -172,17 +177,12 @@ pub struct StandingEvaluator {
 }
 
 impl StandingEvaluator {
-    /// An evaluator with caps from the environment (`GISOLAP_SUB_MAX`,
-    /// `GISOLAP_SUB_BUFFER`). `grid` is the overlay grid the pipeline's
+    /// An evaluator with the default caps ([`DEFAULT_MAX_SUBS`],
+    /// [`DEFAULT_BUFFER_CAP`]). `grid` is the overlay grid the pipeline's
     /// resolver uses; region subscriptions require it (the grid is what
     /// maps a region to the geo ids partials are keyed by).
     pub fn new(grid: Option<GridSpec>) -> StandingEvaluator {
-        let buffer_cap = gisolap_obs::config::SUB_BUFFER.parse_u64().unwrap_or(1024);
-        StandingEvaluator::with_caps(
-            grid,
-            Registry::from_env(),
-            usize::try_from(buffer_cap).unwrap_or(usize::MAX),
-        )
+        StandingEvaluator::with_caps(grid, Registry::new(DEFAULT_MAX_SUBS), DEFAULT_BUFFER_CAP)
     }
 
     /// An evaluator with explicit caps.
@@ -445,7 +445,7 @@ impl StandingEvaluator {
 
     /// Buffered notifications with `seq >= since`, plus the next cursor
     /// to poll from. Older entries may have been dropped by the ring
-    /// (`GISOLAP_SUB_BUFFER`).
+    /// (its capacity is the evaluator's `buffer_cap`).
     pub fn notifications_since(&self, since: u64) -> (Vec<Notification>, u64) {
         let items: Vec<Notification> = self
             .buffer

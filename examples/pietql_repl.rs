@@ -156,7 +156,7 @@ fn save(moft: &Moft, dir: &Path) -> Result<String, String> {
 /// checkpoint + WAL replay) and returns the recovered MOFT for the
 /// engine rebuild, plus the one-line outcome.
 fn load(dir: &Path) -> Result<(Moft, String), String> {
-    match gisolap_core::recover_snapshot(dir, None) {
+    match gisolap_core::recover_snapshot(dir, StoreConfig::from_env(), None) {
         Ok((snapshot, report)) => {
             let line = format!(
                 "loaded {} records from {} ({} segments, {} WAL entries replayed)",

@@ -361,8 +361,6 @@ fn observability_doc_covers_every_elastic_stat_field() {
     );
     for extra in [
         "gisolap_elastic_<field>_total",
-        "GISOLAP_ELASTIC_LEASE_TICKS",
-        "GISOLAP_ELASTIC_PROBE_TICKS",
         "GISOLAP_ELASTIC_CASES",
         "stale_fetches",
         "leadership_retries",

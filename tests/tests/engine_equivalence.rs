@@ -180,6 +180,8 @@ proptest! {
     }
 
     #[test]
+    // Flips GISOLAP_THREADS: the rayon shim has no in-process override.
+    #[allow(clippy::disallowed_methods)]
     fn parallel_and_sequential_evaluation_agree(
         seed in 0u64..1000,
         filter in geo_filter(),

@@ -5,7 +5,9 @@
 //! copy outside the registry (the vendored rayon shim) in sync:
 //!
 //! 1. every flag in `config::ALL` is documented — name *and* stated
-//!    default — in README.md or OBSERVABILITY.md;
+//!    default — in README.md or OBSERVABILITY.md, and every
+//!    `GISOLAP_*` name the docs mention is in `config::ALL` (so no doc
+//!    row outlives the flag it describes);
 //! 2. the rayon shim's hand-written `"GISOLAP_THREADS"` literal matches
 //!    `config::THREADS.name` (the shim mirrors the real crate's
 //!    independence, so it cannot link against `gisolap-obs`);
@@ -25,6 +27,37 @@ fn every_flag_is_documented() {
             flag.name
         );
     }
+    let docs = [
+        ("README.md", readme),
+        ("OBSERVABILITY.md", obs),
+        ("DESIGN.md", include_str!("../../DESIGN.md")),
+        ("docs/indexing.md", include_str!("../../docs/indexing.md")),
+        ("EXPERIMENTS.md", include_str!("../../EXPERIMENTS.md")),
+    ];
+    for (file, text) in docs {
+        for name in flag_names(text) {
+            assert!(
+                config::ALL.iter().any(|f| f.name == name),
+                "{file} mentions `{name}`, which is not in config::ALL"
+            );
+        }
+    }
+}
+
+/// Every `GISOLAP_[A-Z0-9_]+` name in `text` (the bare `GISOLAP_*`
+/// family wildcard names no flag and is skipped).
+fn flag_names(text: &str) -> Vec<&str> {
+    const PREFIX: &str = "GISOLAP_";
+    text.match_indices(PREFIX)
+        .map(|(at, _)| {
+            let tail = &text[at + PREFIX.len()..];
+            let len = tail
+                .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+                .unwrap_or(tail.len());
+            &text[at..at + PREFIX.len() + len]
+        })
+        .filter(|name| name.len() > PREFIX.len())
+        .collect()
 }
 
 #[test]

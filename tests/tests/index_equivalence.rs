@@ -3,9 +3,8 @@
 //!
 //! Three layers of the determinism contract, property-tested:
 //!
-//! * **Engine**: the same engine built with the index on
-//!   (`GISOLAP_INDEX` unset) and off (`GISOLAP_INDEX=0`) returns
-//!   *raw-identical* tuple vectors for arbitrary region × time-window
+//! * **Engine**: the same engine built with the index on (`new`) and
+//!   off (`.without_index()`) returns *raw-identical* tuple vectors for arbitrary region × time-window
 //!   queries, and both agree with `NaiveEngine`, the index-free scan
 //!   reference.
 //! * **Store lifecycle**: the same holds for engines built over a
@@ -33,21 +32,12 @@ use gisolap_store::{DurableIngest, RealFs, ScratchDir, StoreConfig, SyncPolicy, 
 use gisolap_stream::{Measure, RollupQuery, RollupRow, StreamConfig, StreamIngest};
 use gisolap_traj::{Moft, Record};
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 fn index_cases() -> u32 {
     gisolap_obs::config::INDEX_CASES
         .parse_u64()
         .map_or(16, |v| v.clamp(1, 100_000) as u32)
-}
-
-/// Serializes the tests that flip `GISOLAP_INDEX` (read at engine
-/// construction) so concurrent test threads never observe each other's
-/// setting mid-case.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn env_guard() -> std::sync::MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 // ---------------------------------------------------------------- engine
@@ -211,8 +201,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(index_cases()))]
 
     /// Engine-level bit-identity: the index only decides what is
-    /// *skipped*, never what is *answered*. The same engine with
-    /// `GISOLAP_INDEX=0` must return a raw-identical tuple vector —
+    /// *skipped*, never what is *answered*. The same engine built
+    /// `.without_index()` must return a raw-identical tuple vector —
     /// same records, same order, same bits — and the index-free
     /// `NaiveEngine` must agree on the deduplicated keys.
     #[test]
@@ -224,7 +214,6 @@ proptest! {
         time_kind in 0u8..3,
         interpolated in proptest::bool::ANY,
     ) {
-        let _guard = env_guard();
         let (city, moft) = scenario(seed);
         let Some((lo, hi)) = sub_window(&moft, wa, wb) else {
             return Ok(());
@@ -247,13 +236,10 @@ proptest! {
             region = region.interpolated();
         }
 
-        std::env::remove_var("GISOLAP_INDEX");
         let idx_on = IndexedEngine::new(&city.gis, &moft);
         let ovl_on = OverlayEngine::new(&city.gis, &moft);
-        std::env::set_var("GISOLAP_INDEX", "0");
-        let idx_off = IndexedEngine::new(&city.gis, &moft);
-        let ovl_off = OverlayEngine::new(&city.gis, &moft);
-        std::env::remove_var("GISOLAP_INDEX");
+        let idx_off = IndexedEngine::new(&city.gis, &moft).without_index();
+        let ovl_off = OverlayEngine::new(&city.gis, &moft).without_index();
         let naive = NaiveEngine::new(&city.gis, &moft);
 
         // Raw bit-identity, index on vs off, per engine.
@@ -286,7 +272,9 @@ proptest! {
     /// Store-lifecycle bit-identity: engines built over a durable
     /// snapshot — empty, lagging in the WAL tail, flushed, compacted,
     /// or reopened from disk — keep the same on/off raw identity and
-    /// agree with the scan reference over the same snapshot.
+    /// agree with the scan reference over the same snapshot. The two
+    /// sides must really differ: the off side touches no index, the on
+    /// side probes the interval tree whenever a window is set.
     #[test]
     fn index_matches_scan_across_store_lifecycles(
         seed in 0u64..1_000_000,
@@ -295,8 +283,6 @@ proptest! {
         wa in 0u8..=100,
         wb in 0u8..=100,
     ) {
-        let _guard = env_guard();
-        std::env::remove_var("GISOLAP_INDEX");
         let (city, moft) = scenario(seed % 1000);
         let records = moft.records().to_vec();
         let scratch = ScratchDir::new("index-eq-store");
@@ -342,16 +328,15 @@ proptest! {
         let snapshot = durable.pipeline().snapshot().unwrap();
         let mut region = RegionC::all()
             .with_spatial(SpatialPredicate::in_layer("Ln", filter));
-        if let Some((lo, hi)) = sub_window(snapshot.moft(), wa, wb) {
+        let window = sub_window(snapshot.moft(), wa, wb);
+        if let Some((lo, hi)) = window {
             region.time = vec![TimePredicate::Between(lo, hi)];
         }
 
         let naive = NaiveEngine::from_snapshot(&city.gis, &snapshot);
         let idx_on = IndexedEngine::from_snapshot(&city.gis, &snapshot);
         let ovl_on = OverlayEngine::from_snapshot(&city.gis, &snapshot);
-        std::env::set_var("GISOLAP_INDEX", "0");
-        let idx_off = IndexedEngine::from_snapshot(&city.gis, &snapshot);
-        std::env::remove_var("GISOLAP_INDEX");
+        let idx_off = IndexedEngine::from_snapshot(&city.gis, &snapshot).without_index();
 
         let a_on = idx_on.eval(&region).unwrap();
         let a_off = idx_off.eval(&region).unwrap();
@@ -361,6 +346,14 @@ proptest! {
         prop_assert_eq!(&keys, &tuple_keys(&ovl_on, &region), "naive vs overlay");
         if lifecycle == 0 {
             prop_assert!(keys.is_empty(), "empty store must answer empty");
+        }
+        prop_assert_eq!(index_counter_total(&idx_off), 0);
+        if window.is_some() {
+            prop_assert!(
+                idx_on.stats().snapshot().index_interval_probes >= 1,
+                "lifecycle {}: a window must probe the interval tree",
+                lifecycle
+            );
         }
     }
 

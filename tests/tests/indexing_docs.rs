@@ -42,7 +42,7 @@ fn indexing_doc_covers_every_public_index_type() {
 #[test]
 fn indexing_doc_covers_every_index_flag() {
     // Pull the flags from the central registry rather than a literal
-    // list, so a newly registered GISOLAP_INDEX* knob must be
+    // list, so a newly registered `GISOLAP_INDEX_*` knob must be
     // documented here the moment it exists.
     let index_flags: Vec<&str> = config::ALL
         .iter()
@@ -50,9 +50,8 @@ fn indexing_doc_covers_every_index_flag() {
         .filter(|name| name.contains("INDEX"))
         .collect();
     assert!(
-        index_flags.len() >= 3,
-        "expected at least GISOLAP_INDEX / _ZONE_ROWS / _CASES in the \
-         registry, found {index_flags:?}"
+        !index_flags.is_empty(),
+        "expected at least GISOLAP_INDEX_CASES in the registry"
     );
     for flag in index_flags {
         assert!(
@@ -80,6 +79,7 @@ fn indexing_doc_type_list_is_in_sync_with_the_crates() {
         gisolap_index::GridIndex::new(gisolap_geom::BBox::new(0.0, 0.0, 1.0, 1.0), 1, 1);
     let _: gisolap_index::ArbTree = gisolap_index::ArbTree::build(&[], []);
     let moft = gisolap_traj::moft::Moft::new();
-    let idx: Option<gisolap_core::MoftIndex> = gisolap_core::MoftIndex::from_env(&moft);
-    let _: &[gisolap_core::ObjectExtent] = idx.as_ref().map_or(&[], |i| i.extents());
+    let idx: gisolap_core::MoftIndex =
+        gisolap_core::MoftIndex::build(&moft, gisolap_index::DEFAULT_ZONE_ROWS);
+    let _: &[gisolap_core::ObjectExtent] = idx.extents();
 }

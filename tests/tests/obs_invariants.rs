@@ -110,6 +110,8 @@ proptest! {
     }
 
     #[test]
+    // Flips GISOLAP_THREADS: the rayon shim has no in-process override.
+    #[allow(clippy::disallowed_methods)]
     fn counter_deltas_are_thread_count_independent(
         seed in 0u64..1000,
         filter in geo_filter(),
